@@ -12,7 +12,7 @@ use rsls_core::interval::CheckpointInterval;
 use rsls_core::{CheckpointStorage, DvfsPolicy, Scheme};
 use rsls_faults::{FaultClass, FaultSchedule};
 use rsls_power::PowerModelConfig;
-use rsls_solvers::{Cg, CgConfig, Ic0Pcg, JacobiPcg};
+use rsls_solvers::{Cg, CgConfig, Ic0, Jacobi};
 use rsls_sparse::generators::stencil_2d;
 use rsls_sparse::generators::{banded_spd, BandedConfig};
 use rsls_sparse::Partition;
@@ -151,9 +151,15 @@ fn ablation_preconditioner(c: &mut Criterion) {
     ];
     for (name, a) in &operands {
         let b = rhs(a);
+        let zero = || vec![0.0; a.nrows()];
+        let jacobi_pcg = || Cg::with_preconditioner(a, &b, zero(), Jacobi::new(a));
+        let ic0_pcg = || {
+            let ic0 = Ic0::factor(a).expect("SPD operand");
+            Cg::with_preconditioner(a, &b, zero(), ic0)
+        };
         let cg_iters = Cg::from_zero(a, &b).solve(&cfg).0;
-        let jacobi_iters = JacobiPcg::new(a, &b).solve(&cfg).0;
-        let ic0_iters = Ic0Pcg::new(a, &b).expect("SPD operand").solve(&cfg).0;
+        let jacobi_iters = jacobi_pcg().solve(&cfg).0;
+        let ic0_iters = ic0_pcg().solve(&cfg).0;
         println!(
             "ablation_preconditioner/{name}: cg {cg_iters} iters, \
              jacobi {jacobi_iters} iters, ic0 {ic0_iters} iters"
@@ -162,10 +168,10 @@ fn ablation_preconditioner(c: &mut Criterion) {
             bch.iter(|| black_box(Cg::from_zero(a, &b).solve(&cfg).0));
         });
         g.bench_with_input(BenchmarkId::new("jacobi_pcg", name), name, |bch, _| {
-            bch.iter(|| black_box(JacobiPcg::new(a, &b).solve(&cfg).0));
+            bch.iter(|| black_box(jacobi_pcg().solve(&cfg).0));
         });
         g.bench_with_input(BenchmarkId::new("ic0_pcg", name), name, |bch, _| {
-            bch.iter(|| black_box(Ic0Pcg::new(a, &b).expect("SPD operand").solve(&cfg).0));
+            bch.iter(|| black_box(ic0_pcg().solve(&cfg).0));
         });
     }
     g.finish();

@@ -33,7 +33,7 @@ use rsls_core::construction::{li_with, lsi_with, ConstructionMethod, Workspace};
 use rsls_core::Scheme;
 use rsls_experiments::runners::{evenly_spaced_faults, workload, SchemeRun};
 use rsls_experiments::{Scale, SUITE};
-use rsls_solvers::{Cg, Ic0Pcg, JacobiPcg};
+use rsls_solvers::{Cg, Ic0, Jacobi};
 use rsls_sparse::artifacts::MatrixKey;
 use rsls_sparse::csr::PAR_SPMV_CHUNK_ROWS;
 use rsls_sparse::generators::stencil_2d;
@@ -157,11 +157,12 @@ fn measure_alloc() -> AllocBench {
     // 64) clears SELL_MIN_NNZ (so the format heuristic binds the solvers
     // to the SELL kernel) while staying under the parallel-SpMV
     // threshold, keeping the counted section single-threaded. Both
-    // solvers preallocate every buffer in `new`, so 100 warm steps must
-    // be allocation-free.
+    // solvers preallocate every buffer in `Cg::with_preconditioner`, so
+    // 100 warm steps must be allocation-free.
     let sp = stencil_2d(64, 64);
     let sb = rhs(&sp);
-    let mut pcg = JacobiPcg::new(&sp, &sb);
+    let zero = || vec![0.0; sp.nrows()];
+    let mut pcg = Cg::with_preconditioner(&sp, &sb, zero(), Jacobi::new(&sp));
     assert_eq!(pcg.format(), Format::Sell, "stencil must select SELL");
     pcg.step();
     pcg.step();
@@ -170,7 +171,8 @@ fn measure_alloc() -> AllocBench {
             pcg.step();
         }
     });
-    let mut ic = Ic0Pcg::new(&sp, &sb).expect("stencil is SPD");
+    let ic0 = Ic0::factor(&sp).expect("stencil is SPD");
+    let mut ic = Cg::with_preconditioner(&sp, &sb, zero(), ic0);
     ic.step();
     ic.step();
     let ic0_warm_allocs = allocations(|| {

@@ -179,11 +179,13 @@ pub struct AllocBench {
     pub li_warm_allocs: u64,
     /// Allocations of one warm-cache `lsi_with` reconstruction.
     pub lsi_warm_allocs: u64,
-    /// Allocations across 100 warm `JacobiPcg::step` calls on a
-    /// SELL-selected operator (steady state must be allocation-free).
+    /// Allocations across 100 warm Jacobi-preconditioned `Cg::step`
+    /// calls on a SELL-selected operator (steady state must be
+    /// allocation-free).
     pub jacobi_warm_allocs: u64,
-    /// Allocations across 100 warm `Ic0Pcg::step` calls (factor and
-    /// workspace preallocated; steady state must be allocation-free).
+    /// Allocations across 100 warm IC(0)-preconditioned `Cg::step`
+    /// calls (factor and workspace preallocated; steady state must be
+    /// allocation-free).
     pub ic0_warm_allocs: u64,
 }
 

@@ -9,6 +9,7 @@
 //! follow the Table 3 ordering. `wathen100` and the 5-point stencil are
 //! procedural and generated exactly.
 
+use rsls_core::Fnv1a;
 use rsls_sparse::generators::{banded_spd, irregular_spd, stencil_2d, wathen, BandedConfig};
 use rsls_sparse::CsrMatrix;
 
@@ -74,7 +75,9 @@ impl MatrixSpec {
             return real;
         }
         let n = self.rows(scale);
-        let seed = fxhash(self.name);
+        let mut h = Fnv1a::new();
+        h.update(self.name.as_bytes());
+        let seed = h.finish();
         match self.name {
             "wathen100" => {
                 // dim = 3·nx·ny + 2(nx+ny) + 1; invert for nx = ny.
@@ -129,13 +132,6 @@ impl MatrixSpec {
         a.spmv(&ones, &mut b);
         b
     }
-}
-
-/// Deterministic tiny string hash for per-matrix seeds.
-fn fxhash(s: &str) -> u64 {
-    s.bytes().fold(0xcbf29ce484222325u64, |h, b| {
-        (h ^ b as u64).wrapping_mul(0x100000001b3)
-    })
 }
 
 /// The evaluation suite, in Table 3 order.

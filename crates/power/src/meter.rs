@@ -96,11 +96,6 @@ impl EnergyMeter {
         self.joules
     }
 
-    /// Virtual time up to which energy has been accounted.
-    pub fn accounted_until(&self) -> f64 {
-        self.last_t
-    }
-
     /// Average power over everything accounted so far, watts.
     pub fn average_power(&self) -> f64 {
         let span: f64 = self.samples.iter().map(|s| s.t1 - s.t0).sum();

@@ -1,4 +1,4 @@
-//! Step-wise Conjugate Gradient.
+//! Step-wise (preconditioned) Conjugate Gradient.
 
 use rsls_sparse::vector::{axpy, axpy_dot, dot, norm2, xpby};
 use rsls_sparse::{CsrMatrix, SpmvOperator};
@@ -21,14 +21,48 @@ impl Default for CgConfig {
     }
 }
 
+/// A preconditioner `M ≈ A` for [`Cg`].
+pub trait Preconditioner {
+    /// Writes `z = M⁻¹ r` and returns `rᵀz`.
+    ///
+    /// `M = I` returns `None` and leaves `z` empty: `z` then aliases `r`
+    /// and `rᵀz` is the `rᵀr` the residual update already computed, so
+    /// plain CG pays for no z vector and no extra pass.
+    fn apply(&mut self, r: &[f64], z: &mut Vec<f64>) -> Option<f64>;
+}
+
+/// The identity preconditioner: [`Cg`] runs plain, unpreconditioned CG.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Identity;
+
+impl Preconditioner for Identity {
+    fn apply(&mut self, _r: &[f64], _z: &mut Vec<f64>) -> Option<f64> {
+        None
+    }
+}
+
+/// `(z, rᵀz)` after preconditioning `r`; for `M = I` that is `(r, rr)`.
+fn precondition<'v, M: Preconditioner>(
+    m: &mut M,
+    r: &'v [f64],
+    rr: f64,
+    z: &'v mut Vec<f64>,
+) -> (&'v [f64], f64) {
+    match m.apply(r, z) {
+        Some(rz) => (z, rz),
+        None => (r, rr),
+    }
+}
+
 /// A full Krylov-state snapshot: everything [`Cg::step`] reads besides
-/// the fixed operator and rhs.
+/// the fixed operator, rhs and preconditioner.
 ///
 /// Restoring it with [`Cg::restore_state`] resumes the *exact* fault-free
 /// iteration sequence — no residual recompute, no search-direction reset,
 /// no reconvergence penalty — which is what the exact-state ABFT-CR
 /// checkpoint scheme stores to disk (`x`, `r`, `p`, and the `rᵀr`
-/// scalar, per Pachajoa et al.).
+/// scalar, per Pachajoa et al.). A preconditioned run needs nothing
+/// more: `z = M⁻¹ r` and `rᵀz` are a deterministic function of `r`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct KrylovState {
     /// Iteration count at capture time (bookkeeping only; restores do not
@@ -44,13 +78,16 @@ pub struct KrylovState {
     pub rr: f64,
 }
 
-/// A resumable CG iteration on `A x = b` for SPD `A`.
+/// A resumable (preconditioned) CG iteration on `A x = b` for SPD `A`.
 ///
-/// The struct owns the full iteration state (`x`, `r`, `p`); the caller
-/// advances it with [`Cg::step`] and may mutate `x` between steps (fault
-/// injection / recovery) as long as it then calls [`Cg::restart`] to
-/// recompute the residual and reset the search direction — the standard
-/// recovery pattern for Krylov methods under faults.
+/// The struct owns the full iteration state (`x`, `r`, `z`, `p`); the
+/// caller advances it with [`Cg::step`] and may mutate `x` between steps
+/// (fault injection / recovery) as long as it then calls [`Cg::restart`]
+/// to recompute the residual and reset the search direction — the
+/// standard recovery pattern for Krylov methods under faults.
+///
+/// `M` defaults to [`Identity`], plain CG; [`Cg::with_preconditioner`]
+/// runs the same recurrence under [`crate::Jacobi`] or [`crate::Ic0`].
 ///
 /// # Example
 ///
@@ -67,24 +104,50 @@ pub struct KrylovState {
 /// assert!(cg.true_relative_residual() < 1e-12);
 /// ```
 #[derive(Debug, Clone)]
-pub struct Cg<'a> {
+pub struct Cg<'a, M: Preconditioner = Identity> {
     op: SpmvOperator<'a>,
+    m: M,
     b: &'a [f64],
     x: Vec<f64>,
     r: Vec<f64>,
+    /// `M⁻¹ r`; empty for [`Identity`], whose `z` is `r` itself.
+    z: Vec<f64>,
     p: Vec<f64>,
     ap: Vec<f64>,
     rr: f64,
+    rz: f64,
     b_norm: f64,
     iteration: usize,
 }
 
 impl<'a> Cg<'a> {
-    /// Initializes CG from the initial guess `x0`.
+    /// Initializes plain CG from the initial guess `x0`.
     ///
     /// # Panics
     /// Panics on dimension mismatches or a non-square matrix.
     pub fn new(a: &'a CsrMatrix, b: &'a [f64], x0: Vec<f64>) -> Self {
+        Cg::with_preconditioner(a, b, x0, Identity)
+    }
+
+    /// Initializes plain CG from the zero initial guess.
+    pub fn from_zero(a: &'a CsrMatrix, b: &'a [f64]) -> Self {
+        let n = a.nrows();
+        Cg::new(a, b, vec![0.0; n])
+    }
+
+    /// Flops of one CG step on this matrix: one SpMV plus two dots and
+    /// three axpy-like updates over `n` entries.
+    pub fn step_flops(a: &CsrMatrix) -> u64 {
+        a.spmv_flops() + 10 * a.nrows() as u64
+    }
+}
+
+impl<'a, M: Preconditioner> Cg<'a, M> {
+    /// Initializes CG preconditioned by `m` from the initial guess `x0`.
+    ///
+    /// # Panics
+    /// Panics on dimension mismatches or a non-square matrix.
+    pub fn with_preconditioner(a: &'a CsrMatrix, b: &'a [f64], x0: Vec<f64>, m: M) -> Self {
         assert_eq!(a.nrows(), a.ncols(), "CG requires a square matrix");
         assert_eq!(b.len(), a.nrows(), "rhs length mismatch");
         assert_eq!(x0.len(), a.nrows(), "initial guess length mismatch");
@@ -96,12 +159,15 @@ impl<'a> Cg<'a> {
         // ones) do not depend on the choice.
         let mut cg = Cg {
             op: SpmvOperator::select(a),
+            m,
             b,
             x: x0,
             r: vec![0.0; n],
+            z: Vec::new(),
             p: vec![0.0; n],
             ap: vec![0.0; n],
             rr: 0.0,
+            rz: 0.0,
             b_norm,
             iteration: 0,
         };
@@ -109,13 +175,11 @@ impl<'a> Cg<'a> {
         cg
     }
 
-    /// Initializes CG from the zero initial guess.
-    pub fn from_zero(a: &'a CsrMatrix, b: &'a [f64]) -> Self {
-        let n = a.nrows();
-        Cg::new(a, b, vec![0.0; n])
-    }
-
     /// Performs one CG iteration, returning the new relative residual.
+    ///
+    /// Allocation-free: every vector it touches is preallocated when the
+    /// solver is built (the bench's `cg_steps_allocs`,
+    /// `jacobi_warm_allocs` and `ic0_warm_allocs` gates hold this at zero).
     pub fn step(&mut self) -> f64 {
         self.op.apply(&self.p, &mut self.ap);
         let pap = dot(&self.p, &self.ap);
@@ -126,20 +190,21 @@ impl<'a> Cg<'a> {
             self.iteration += 1;
             return self.relative_residual();
         }
-        let alpha = self.rr / pap;
+        let alpha = self.rz / pap;
         axpy(alpha, &self.p, &mut self.x);
         // Fused residual update + squared norm: one pass over r instead
         // of two, bit-identical to axpy followed by dot(r, r).
-        let rr_new = axpy_dot(-alpha, &self.ap, &mut self.r);
-        let beta = rr_new / self.rr;
-        xpby(&self.r, beta, &mut self.p);
-        self.rr = rr_new;
+        self.rr = axpy_dot(-alpha, &self.ap, &mut self.r);
+        let (z, rz_new) = precondition(&mut self.m, &self.r, self.rr, &mut self.z);
+        let beta = rz_new / self.rz;
+        xpby(z, beta, &mut self.p);
+        self.rz = rz_new;
         self.iteration += 1;
         self.relative_residual()
     }
 
-    /// Recomputes `r = b − A x` and resets `p = r` — required after any
-    /// external mutation of `x` (fault injection or recovery).
+    /// Recomputes `r = b − A x` and resets `p = M⁻¹ r` — required after
+    /// any external mutation of `x` (fault injection or recovery).
     pub fn restart(&mut self) {
         self.recompute_residual();
     }
@@ -149,8 +214,10 @@ impl<'a> Cg<'a> {
         for (ri, bi) in self.r.iter_mut().zip(self.b) {
             *ri = bi - *ri;
         }
-        self.p.copy_from_slice(&self.r);
         self.rr = dot(&self.r, &self.r);
+        let (z, rz) = precondition(&mut self.m, &self.r, self.rr, &mut self.z);
+        self.p.copy_from_slice(z);
+        self.rz = rz;
     }
 
     /// `||r||₂ / ||b||₂` of the tracked (recurrence) residual.
@@ -205,6 +272,7 @@ impl<'a> Cg<'a> {
     /// Snapshots the full Krylov state (`x`, `r`, `p`, `rᵀr`).
     ///
     /// `ap` is excluded: every [`Cg::step`] overwrites it before reading.
+    /// So are `z` and `rᵀz`, which [`Cg::restore_state`] recomputes.
     pub fn capture_state(&self) -> KrylovState {
         KrylovState {
             iteration: self.iteration,
@@ -219,8 +287,10 @@ impl<'a> Cg<'a> {
     ///
     /// Unlike [`Cg::set_x`] + [`Cg::restart`], this needs no residual
     /// recompute: subsequent steps replay the captured run bit-for-bit.
-    /// The iteration counter is *not* rewound — it keeps counting total
-    /// work performed, including the replayed stretch.
+    /// A preconditioned run re-derives `z = M⁻¹ r` and `rᵀz` from the
+    /// restored `r`, deterministically and so bit-exactly. The iteration
+    /// counter is *not* rewound — it keeps counting total work
+    /// performed, including the replayed stretch.
     ///
     /// # Panics
     /// Panics on dimension mismatches.
@@ -232,17 +302,12 @@ impl<'a> Cg<'a> {
         self.r.copy_from_slice(&state.r);
         self.p.copy_from_slice(&state.p);
         self.rr = state.rr;
+        self.rz = precondition(&mut self.m, &self.r, self.rr, &mut self.z).1;
     }
 
     /// True when the relative residual is at or below `tol`.
     pub fn converged(&self, tol: f64) -> bool {
         self.relative_residual() <= tol
-    }
-
-    /// Flops of one CG step on this matrix: one SpMV plus two dots and
-    /// three axpy-like updates over `n` entries.
-    pub fn step_flops(a: &CsrMatrix) -> u64 {
-        a.spmv_flops() + 10 * a.nrows() as u64
     }
 
     /// Runs to convergence, returning `(iterations, converged)`.
@@ -257,10 +322,25 @@ impl<'a> Cg<'a> {
     }
 }
 
+/// Steps `pcg` `steps` times, asserting after each step that the tracked
+/// relative residual is bit-identical to `||r|| / ||b||` recomputed from `r`.
+#[cfg(test)]
+pub(crate) fn assert_tracked_residual_is_exact<M: Preconditioner>(
+    mut pcg: Cg<'_, M>,
+    steps: usize,
+) {
+    for _ in 0..steps {
+        pcg.step();
+        let recomputed = dot(&pcg.r, &pcg.r).sqrt() / pcg.b_norm;
+        assert_eq!(pcg.relative_residual().to_bits(), recomputed.to_bits());
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rsls_sparse::generators::{banded_spd, tridiagonal, BandedConfig};
+    use crate::{Ic0, Jacobi};
+    use rsls_sparse::generators::{banded_spd, stencil_2d, tridiagonal, BandedConfig};
     use rsls_sparse::vector::dist2;
 
     fn rhs_for_known_solution(a: &CsrMatrix, xstar: &[f64]) -> Vec<f64> {
@@ -368,14 +448,13 @@ mod tests {
         assert!((cg.true_relative_residual() - res_at_checkpoint).abs() < 1e-12);
     }
 
-    #[test]
-    fn restore_state_replays_the_fault_free_run_bit_for_bit() {
-        let cfg = BandedConfig::regular(120, 5, 0.6, 3);
-        let a = banded_spd(&cfg);
-        let b = vec![1.0; 120];
+    /// Snapshots after 10 steps, runs 7 more, poisons `x`, restores and
+    /// checks the run finishes bit-identical to the fault-free one.
+    fn replays_bit_for_bit<M: Preconditioner + Clone>(a: &CsrMatrix, b: &[f64], m: M) {
+        let start = || Cg::with_preconditioner(a, b, vec![0.0; a.nrows()], m.clone());
 
         // Fault-free reference trajectory.
-        let mut reference = Cg::from_zero(&a, &b);
+        let mut reference = start();
         for _ in 0..10 {
             reference.step();
         }
@@ -386,14 +465,11 @@ mod tests {
 
         // Faulted run: corrupt everything after the snapshot point, then
         // restore the exact Krylov state and run to convergence.
-        let mut faulted = Cg::from_zero(&a, &b);
-        for _ in 0..10 {
+        let mut faulted = start();
+        for _ in 0..17 {
             faulted.step();
         }
-        for _ in 0..7 {
-            faulted.step();
-        }
-        for v in faulted.x_slice_mut(0..120) {
+        for v in faulted.x_slice_mut(0..a.nrows()) {
             *v = f64::NAN;
         }
         faulted.restore_state(&snapshot);
@@ -409,6 +485,30 @@ mod tests {
         );
         // The monotonic work counter records the 7 replayed iterations.
         assert_eq!(faulted_iters, ref_iters + 7);
+    }
+
+    #[test]
+    fn restore_state_replays_the_fault_free_run_bit_for_bit() {
+        let a = banded_spd(&BandedConfig::regular(120, 5, 0.6, 3));
+        let b = vec![1.0; 120];
+        replays_bit_for_bit(&a, &b, Identity);
+        replays_bit_for_bit(&a, &b, Jacobi::new(&a));
+        // IC(0) converges in one step on that operand; on the stencil
+        // the snapshot falls mid-run.
+        let s = stencil_2d(24, 24);
+        let sb = vec![1.0; s.nrows()];
+        replays_bit_for_bit(&s, &sb, Ic0::factor(&s).unwrap());
+    }
+
+    #[test]
+    fn tracked_residual_matches_recomputed_dot() {
+        let banded = banded_spd(&BandedConfig::regular(90, 5, 0.3, 4));
+        let stencil = stencil_2d(9, 9);
+        let banded_b: Vec<f64> = (0..90).map(|i| ((i * 7) % 13) as f64 - 6.0).collect();
+        let stencil_b: Vec<f64> = (0..81).map(|i| ((i * 5) % 11) as f64 - 5.0).collect();
+        for (a, b) in [(&banded, banded_b), (&stencil, stencil_b)] {
+            assert_tracked_residual_is_exact(Cg::from_zero(a, &b), 20);
+        }
     }
 
     #[test]

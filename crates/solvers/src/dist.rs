@@ -14,7 +14,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
-use rsls_sparse::artifacts::MatrixKey;
+use rsls_sparse::artifacts::{fnv_word, MatrixKey, FNV_OFFSET};
 use rsls_sparse::{CsrMatrix, Partition};
 
 /// Memo map type: `(matrix content, partition boundaries) → plan`.
@@ -39,14 +39,10 @@ pub fn halo_plan_cache_stats() -> (u64, u64) {
 /// Folds the exact `(start, end)` boundaries of every rank range, so two
 /// partitions share a key only when they induce the same distribution.
 fn partition_hash(part: &Partition) -> u64 {
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for rank in 0..part.num_ranks() {
+    (0..part.num_ranks()).fold(FNV_OFFSET, |h, rank| {
         let r = part.range(rank);
-        h = (h ^ r.start as u64).wrapping_mul(PRIME);
-        h = (h ^ r.end as u64).wrapping_mul(PRIME);
-    }
-    h
+        fnv_word(fnv_word(h, r.start as u64), r.end as u64)
+    })
 }
 
 /// The communication plan of a block-row SPMD SpMV.

@@ -1,4 +1,4 @@
-//! IC(0) incomplete-Cholesky preconditioned CG.
+//! The IC(0) incomplete-Cholesky preconditioner.
 //!
 //! The zero-fill incomplete Cholesky factorization keeps exactly the
 //! sparsity pattern of the lower triangle of `A` and computes
@@ -22,10 +22,10 @@
 //! (≈ one SpMV of work), so it wins end-to-end when it saves more than
 //! about half the iterations.
 
-use rsls_sparse::vector::{axpy, axpy_dot, dot, xpby};
-use rsls_sparse::{CsrMatrix, LinalgError, SpmvOperator};
+use rsls_sparse::vector::dot;
+use rsls_sparse::{CsrMatrix, LinalgError};
 
-use crate::cg::CgConfig;
+use crate::cg::Preconditioner;
 
 /// A zero-fill incomplete Cholesky factor `L` (lower triangular, same
 /// sparsity as the lower triangle of `A`, diagonal included).
@@ -129,34 +129,6 @@ impl Ic0 {
         self.vals.len()
     }
 
-    /// Solves `L Lᵀ z = r` into `z`, using `w` as the intermediate
-    /// (forward-solve) scratch. Allocation-free and strictly sequential.
-    ///
-    /// # Panics
-    /// Panics on length mismatches.
-    pub fn apply(&self, r: &[f64], w: &mut [f64], z: &mut [f64]) {
-        assert_eq!(r.len(), self.n, "ic0 apply: r length mismatch");
-        assert_eq!(w.len(), self.n, "ic0 apply: w length mismatch");
-        assert_eq!(z.len(), self.n, "ic0 apply: z length mismatch");
-        // Forward: L w = r, rows ascending (diagonal is each row's last).
-        for i in 0..self.n {
-            let mut s = r[i];
-            for k in self.row_ptr[i]..self.row_ptr[i + 1] - 1 {
-                s -= self.vals[k] * w[self.cols[k]];
-            }
-            w[i] = s * self.inv_diag[i];
-        }
-        // Backward: Lᵀ z = w via column sweeps of L, rows descending.
-        z.copy_from_slice(w);
-        for i in (0..self.n).rev() {
-            let zi = z[i] * self.inv_diag[i];
-            z[i] = zi;
-            for k in self.row_ptr[i]..self.row_ptr[i + 1] - 1 {
-                z[self.cols[k]] -= self.vals[k] * zi;
-            }
-        }
-    }
-
     /// The factor as a [`CsrMatrix`] (tests and inspection).
     pub fn to_csr(&self) -> CsrMatrix {
         CsrMatrix::from_raw_parts(
@@ -171,119 +143,47 @@ impl Ic0 {
     }
 }
 
-/// IC(0)-preconditioned CG on `A x = b`, mirroring [`crate::JacobiPcg`]:
-/// the operator runs in the selected format, the residual update uses
-/// the fused [`axpy_dot`] kernel, and every step is allocation-free.
-#[derive(Debug, Clone)]
-pub struct Ic0Pcg<'a> {
-    op: SpmvOperator<'a>,
-    ic0: Ic0,
-    x: Vec<f64>,
-    r: Vec<f64>,
-    z: Vec<f64>,
-    w: Vec<f64>,
-    p: Vec<f64>,
-    ap: Vec<f64>,
-    rz: f64,
-    rr: f64,
-    b_norm: f64,
-    iteration: usize,
-}
-
-impl<'a> Ic0Pcg<'a> {
-    /// Initializes from the zero guess.
+impl Preconditioner for Ic0 {
+    /// Solves `L Lᵀ z = r` with one forward and one backward sweep, both
+    /// in `z`. Strictly sequential, and allocation-free once `z` has
+    /// length `n`.
     ///
-    /// # Errors
-    /// Propagates [`LinalgError::NotPositiveDefinite`] from the
-    /// factorization.
-    pub fn new(a: &'a CsrMatrix, b: &'a [f64]) -> Result<Self, LinalgError> {
-        assert_eq!(a.nrows(), a.ncols());
-        assert_eq!(b.len(), a.nrows());
-        let ic0 = Ic0::factor(a)?;
-        let n = a.nrows();
-        let r = b.to_vec();
-        let mut z = vec![0.0; n];
-        let mut w = vec![0.0; n];
-        ic0.apply(&r, &mut w, &mut z);
-        let rz = dot(&r, &z);
-        let rr = dot(&r, &r);
-        Ok(Ic0Pcg {
-            op: SpmvOperator::select(a),
-            ic0,
-            p: z.clone(),
-            z,
-            w,
-            r,
-            x: vec![0.0; n],
-            ap: vec![0.0; n],
-            rz,
-            rr,
-            b_norm: rsls_sparse::vector::norm2(b).max(f64::MIN_POSITIVE),
-            iteration: 0,
-        })
-    }
-
-    /// One PCG iteration; returns the relative residual.
-    ///
-    /// Allocation-free: the triangular solves run in the preallocated
-    /// `w`/`z` scratch (the bench's `ic0_warm_allocs` gate holds this
-    /// at zero).
-    pub fn step(&mut self) -> f64 {
-        self.op.apply(&self.p, &mut self.ap);
-        let pap = dot(&self.p, &self.ap);
-        if pap <= 0.0 || !pap.is_finite() {
-            self.iteration += 1;
-            return self.relative_residual();
-        }
-        let alpha = self.rz / pap;
-        axpy(alpha, &self.p, &mut self.x);
-        self.rr = axpy_dot(-alpha, &self.ap, &mut self.r);
-        self.ic0.apply(&self.r, &mut self.w, &mut self.z);
-        let rz_new = dot(&self.r, &self.z);
-        let beta = rz_new / self.rz;
-        xpby(&self.z, beta, &mut self.p);
-        self.rz = rz_new;
-        self.iteration += 1;
-        self.relative_residual()
-    }
-
-    /// `||r||₂ / ||b||₂` from the tracked `rᵀr` scalar (no vector pass).
-    pub fn relative_residual(&self) -> f64 {
-        self.rr.sqrt() / self.b_norm
-    }
-
-    /// Completed iterations.
-    pub fn iteration(&self) -> usize {
-        self.iteration
-    }
-
-    /// The storage format the operator was bound to.
-    pub fn format(&self) -> rsls_sparse::Format {
-        self.op.format()
-    }
-
-    /// The current iterate.
-    pub fn x(&self) -> &[f64] {
-        &self.x
-    }
-
-    /// Runs to convergence; returns `(iterations, converged)`.
-    pub fn solve(&mut self, cfg: &CgConfig) -> (usize, bool) {
-        while self.iteration < cfg.max_iterations {
-            if self.relative_residual() <= cfg.tolerance {
-                return (self.iteration, true);
+    /// # Panics
+    /// Panics on an `r` length mismatch.
+    fn apply(&mut self, r: &[f64], z: &mut Vec<f64>) -> Option<f64> {
+        assert_eq!(r.len(), self.n, "ic0 apply: r length mismatch");
+        z.resize(self.n, 0.0);
+        // Forward: L z = r, rows ascending (diagonal is each row's last).
+        for i in 0..self.n {
+            let mut s = r[i];
+            for k in self.row_ptr[i]..self.row_ptr[i + 1] - 1 {
+                s -= self.vals[k] * z[self.cols[k]];
             }
-            self.step();
+            z[i] = s * self.inv_diag[i];
         }
-        (self.iteration, self.relative_residual() <= cfg.tolerance)
+        // Backward: Lᵀ z = z via column sweeps of L, rows descending.
+        for i in (0..self.n).rev() {
+            let zi = z[i] * self.inv_diag[i];
+            z[i] = zi;
+            for k in self.row_ptr[i]..self.row_ptr[i + 1] - 1 {
+                z[self.cols[k]] -= self.vals[k] * zi;
+            }
+        }
+        Some(dot(r, z))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cg::assert_tracked_residual_is_exact;
+    use crate::{Cg, CgConfig, Jacobi};
     use rsls_sparse::generators::{banded_spd, stencil_2d, tridiagonal, BandedConfig};
     use rsls_sparse::vector::dist2;
+
+    fn zero(a: &CsrMatrix) -> Vec<f64> {
+        vec![0.0; a.nrows()]
+    }
 
     #[test]
     fn ic0_of_tridiagonal_is_exact_cholesky() {
@@ -306,11 +206,11 @@ mod tests {
     #[test]
     fn ic0_apply_solves_the_factored_system() {
         let a = tridiagonal(50, 3.0);
-        let ic0 = Ic0::factor(&a).unwrap();
+        let mut ic0 = Ic0::factor(&a).unwrap();
         let r: Vec<f64> = (0..50).map(|i| ((i * 11) % 17) as f64 - 8.0).collect();
-        let mut w = vec![0.0; 50];
-        let mut z = vec![0.0; 50];
-        ic0.apply(&r, &mut w, &mut z);
+        let mut z = Vec::new();
+        let rz = ic0.apply(&r, &mut z);
+        assert_eq!(rz.map(f64::to_bits), Some(dot(&r, &z).to_bits()));
         // For the no-fill case, A z must equal r.
         let mut az = vec![0.0; 50];
         a.spmv(&z, &mut az);
@@ -335,7 +235,7 @@ mod tests {
     fn ic0_pcg_solves_spd_system() {
         let a = banded_spd(&BandedConfig::regular(120, 5, 0.1, 6));
         let b = vec![1.0; 120];
-        let mut pcg = Ic0Pcg::new(&a, &b).unwrap();
+        let mut pcg = Cg::with_preconditioner(&a, &b, zero(&a), Ic0::factor(&a).unwrap());
         let (_, ok) = pcg.solve(&CgConfig::default());
         assert!(ok);
         let mut ax = vec![0.0; 120];
@@ -351,14 +251,11 @@ mod tests {
             tolerance: 1e-10,
             max_iterations: 10_000,
         };
-        let ic0_iters = {
-            let mut s = Ic0Pcg::new(&a, &b).unwrap();
-            s.solve(&cfg).0
-        };
-        let jacobi_iters = {
-            let mut s = crate::JacobiPcg::new(&a, &b);
-            s.solve(&cfg).0
-        };
+        let ic0 = Ic0::factor(&a).unwrap();
+        let ic0_iters = Cg::with_preconditioner(&a, &b, zero(&a), ic0).solve(&cfg).0;
+        let jacobi_iters = Cg::with_preconditioner(&a, &b, zero(&a), Jacobi::new(&a))
+            .solve(&cfg)
+            .0;
         assert!(
             3 * ic0_iters <= 2 * jacobi_iters,
             "IC(0) ({ic0_iters}) should cut Jacobi ({jacobi_iters}) by at least 1.5x on the stencil"
@@ -369,12 +266,12 @@ mod tests {
     fn tracked_residual_matches_recomputed_dot() {
         let a = stencil_2d(9, 9);
         let b: Vec<f64> = (0..81).map(|i| ((i * 5) % 11) as f64 - 5.0).collect();
-        let mut pcg = Ic0Pcg::new(&a, &b).unwrap();
-        for _ in 0..20 {
-            pcg.step();
-            let tracked = pcg.relative_residual();
-            let recomputed = dot(&pcg.r, &pcg.r).sqrt() / pcg.b_norm;
-            assert_eq!(tracked.to_bits(), recomputed.to_bits());
-        }
+        let ic0 = Ic0::factor(&a).unwrap();
+        assert_tracked_residual_is_exact(Cg::with_preconditioner(&a, &b, zero(&a), ic0), 20);
+        let banded = banded_spd(&BandedConfig::regular(90, 5, 0.3, 4));
+        let banded_b: Vec<f64> = (0..90).map(|i| ((i * 7) % 13) as f64 - 6.0).collect();
+        let ic0 = Ic0::factor(&banded).unwrap();
+        let pcg = Cg::with_preconditioner(&banded, &banded_b, zero(&banded), ic0);
+        assert_tracked_residual_is_exact(pcg, 20);
     }
 }

@@ -3,19 +3,17 @@
 #![warn(missing_debug_implementations)]
 //! Instrumented iterative solvers.
 //!
-//! * [`Cg`] — a resumable, step-at-a-time Conjugate Gradient state
-//!   machine. The resilient driver in `rsls-core` advances it one
-//!   iteration at a time, injects faults between iterations, repairs the
-//!   state after recovery ([`Cg::restart`], the Langou et al. recovery
-//!   pattern), and charges virtual time per step.
+//! * [`Cg`] — a resumable, step-at-a-time (preconditioned) Conjugate
+//!   Gradient state machine. The resilient driver in `rsls-core` advances
+//!   it one iteration at a time, injects faults between iterations,
+//!   repairs the state after recovery ([`Cg::restart`], the Langou et al.
+//!   recovery pattern), and charges virtual time per step. Its
+//!   [`Preconditioner`] defaults to [`Identity`] (plain CG, the paper's
+//!   method); [`Jacobi`] and the IC(0) factor [`Ic0`] run the same
+//!   recurrence through [`Cg::with_preconditioner`].
 //! * [`Cgls`] — CGLS/CGNR for least-squares systems, used by the paper's
 //!   optimized LSI reconstruction (§4.1, Eq. 21: solve
 //!   `(A_{p_i,:} A_{p_i,:}ᵀ) x = A_{p_i,:} β` locally with CG).
-//! * [`jacobi`] — Jacobi-preconditioned CG (an extension beyond the
-//!   paper's plain-CG evaluation; used by ablation benches).
-//! * [`ic0`] — IC(0) incomplete-Cholesky preconditioned CG with
-//!   deterministic sequential triangular solves; the iteration-count
-//!   lever on the paper's stencil/banded model problems.
 //! * [`dist`] — a distributed-memory (SPMD) CG with explicit halo
 //!   exchange plans, the physical counterpart of the driver's logical
 //!   distribution model.
@@ -28,9 +26,9 @@ pub mod dist;
 pub mod ic0;
 pub mod jacobi;
 
-pub use cg::{Cg, CgConfig, KrylovState};
+pub use cg::{Cg, CgConfig, Identity, KrylovState, Preconditioner};
 pub use cgls::{Cgls, CglsConfig};
 pub use convergence::{ResidualHistory, SolveOutcome};
 pub use dist::{halo_plan_cache_stats, DistCg, HaloPlan};
-pub use ic0::{Ic0, Ic0Pcg};
-pub use jacobi::JacobiPcg;
+pub use ic0::Ic0;
+pub use jacobi::Jacobi;

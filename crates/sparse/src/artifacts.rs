@@ -24,7 +24,8 @@ use crate::dense::DenseMatrix;
 use crate::sell::SellMatrix;
 use crate::CsrMatrix;
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+/// The FNV-1a 64-bit offset basis: the state [`fnv_word`] folds from.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// Entry cap per artifact map; reaching it clears that map (a
@@ -69,15 +70,11 @@ impl MatrixKey {
             hash: h,
         }
     }
-
-    /// The folded 64-bit content hash.
-    pub fn raw_hash(self) -> u64 {
-        self.hash
-    }
 }
 
-/// One FNV-1a step absorbing a 64-bit word.
-fn fnv_word(h: u64, w: u64) -> u64 {
+/// One FNV-1a step absorbing a whole 64-bit word (a word-level fold,
+/// unlike byte-wise FNV-1a).
+pub fn fnv_word(h: u64, w: u64) -> u64 {
     (h ^ w).wrapping_mul(FNV_PRIME)
 }
 

@@ -91,16 +91,6 @@ pub fn dist2(x: &[f64], y: &[f64]) -> f64 {
         .sqrt()
 }
 
-/// Flops of a dot product over `n` elements.
-pub fn dot_flops(n: usize) -> u64 {
-    2 * n as u64
-}
-
-/// Flops of an axpy over `n` elements.
-pub fn axpy_flops(n: usize) -> u64 {
-    2 * n as u64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
